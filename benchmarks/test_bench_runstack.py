@@ -5,9 +5,12 @@ The headline measurement runs the paper-scale fleet Monte-Carlo
 capacity) twice — once per episode, once with every episode of the
 shard folded into a single pass of the slot kernel — and asserts the
 stacked path is at least 5x faster *and* bit-identical, per run, to the
-per-episode path.  Ample capacity matters: under contention the stacked
-placement falls back to the serial greedy walk for the contending runs,
-which is still correct but erodes the amortisation the benchmark pins.
+per-episode path.  Contention does not change the picture: placement
+applies the exact greedy-turn rule stack-wide (a mover is admitted iff
+its target's occupancy at its turn is below capacity), so a run whose
+sites merely turn over still settles in the stack's bincounts, and only
+a run with a real spill or reject is handed to its own engine.  The
+contended/ample ratio is pinned in ``test_bench_fleet.py``.
 
 Around the headline: a stack/engine/worker identity sweep at reduced
 scale, the adversary coverage sweep with the score-component cache (hit

@@ -17,11 +17,16 @@ and migrations) are resolved against the current site loads:
 
 Within one slot, requests are resolved greedily in service-id order; a
 slot freed by a later service is not visible to an earlier one.  That rule
-makes the outcome deterministic and lets the hot path skip the per-service
-resolution entirely whenever every requested site verifiably has room for
-all of its arrivals (the common, uncontended case) — the vectorised fleet
-slot-loop stays O(T) numpy work and only contended slots pay a Python
-fallback.
+makes the outcome deterministic and exactly computable in numpy: mover
+``k`` is admitted iff its target's occupancy *at its greedy turn* — the
+site's load plus the earlier movers' arrivals there minus their
+departures from it — is below capacity (:func:`_turn_overflows`).  Every
+mover before the first one that fails that test settles in two
+bincounts.  Only from a mover that actually finds its target full (a
+spill or a reject) is the slot walked one mover at a time, until a run of
+admissions shows the contended stretch is over and the rest is re-tested.
+So the vectorised fleet slot-loop stays O(T) numpy work even when sites
+turn over every slot, and a saturated slot costs what the plain walk does.
 """
 
 from __future__ import annotations
@@ -39,6 +44,65 @@ __all__ = [
     "RegionPartition",
     "ShardedPlacementEngine",
 ]
+
+
+#: Movers admitted in a row after which a walk hands the rest of its slot
+#: back to the numpy settle: one exact greedy-turn test costs about as
+#: much as walking this many movers.
+_WALK_STREAK = 16
+
+
+def _turn_overflows(
+    load: np.ndarray,
+    capacities: np.ndarray,
+    sources: np.ndarray,
+    targets: np.ndarray,
+) -> np.ndarray:
+    """Movers whose target is full at their greedy turn.
+
+    ``sources`` / ``targets`` list one slot's movers in walk order
+    (``sources != targets`` elementwise).  Assuming every earlier mover
+    was admitted, mover ``k`` finds ``load[t] + #{j < k: targets[j] == t}
+    - #{j < k: sources[j] == t}`` services at its target ``t``; the
+    returned (unordered) positions are the movers for which that is at
+    least ``capacities[t]``.  The smallest of them is exactly the first
+    mover the greedy walk does not admit; none at all means the walk
+    admits every mover.  Sites are independent, so a stack of disjoint
+    site ranges (one per run) is tested in one call and each range's
+    smallest position is exact for its own walk.
+
+    One ``(2k,)`` event array interleaves each mover's departure (-1)
+    and arrival (+1) in walk order; a stable sort by site keeps every
+    site's events in walk order.  The running sum over the sorted events
+    then counts a site's own events up to and including each one, plus
+    the net of all lower sites, which the ``room`` vector folds in.
+    """
+    # The narrowest dtype that holds every site makes the stable sort a
+    # radix sort.
+    events = np.empty(2 * sources.size, dtype=np.min_scalar_type(load.size))
+    events[0::2] = sources
+    events[1::2] = targets
+    order = np.argsort(events, kind="stable")
+    step = (order & 1) * 2 - 1
+    net = np.bincount(targets, minlength=load.size) - np.bincount(
+        sources, minlength=load.size
+    )
+    # Free slots at each site, shifted by the net events of lower sites.
+    room = capacities - load + np.cumsum(net) - net
+    # The running sum includes the arrival itself, hence ``>`` not ``>=``.
+    full = (step > 0) & (np.cumsum(step) > room[events[order]])
+    return order[full] >> 1
+
+
+def _move_requests(
+    current_cells: np.ndarray, desired_cells: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated ``(current, desired, movers)`` of one slot's requests."""
+    current = np.asarray(current_cells, dtype=np.int64)
+    desired = np.asarray(desired_cells, dtype=np.int64)
+    if current.shape != desired.shape or current.ndim != 1:
+        raise ValueError("current and desired cells must be equal-length 1-D")
+    return current, desired, np.flatnonzero(desired != current)
 
 
 @dataclass
@@ -144,33 +208,84 @@ class PlacementEngine:
     ) -> np.ndarray:
         """Resolve one slot's migration requests against site capacities.
 
-        Returns the cell each service occupies after the slot.  The fast
-        path applies when every requested site has room for all of its
-        arrivals even before any departure frees a slot — then the greedy
-        per-service resolution would admit everything, so the whole slot
-        is settled with three bincounts.  Otherwise the slot falls back to
-        the greedy id-order walk (admit / spill / reject per service).
+        Returns the cell each service occupies after the slot, exactly as
+        the greedy id-order walk (admit / spill / reject per service)
+        would.  The movers before the first one whose target is full at
+        its greedy turn are all admitted and settle with two bincounts.
+        From that mover on the slot is walked one mover at a time until
+        the contended stretch is over, and the rest is re-tested.
         """
-        current = np.asarray(current_cells, dtype=np.int64)
-        desired = np.asarray(desired_cells, dtype=np.int64)
-        if current.shape != desired.shape or current.ndim != 1:
-            raise ValueError("current and desired cells must be equal-length 1-D")
-        movers = np.flatnonzero(desired != current)
-        if movers.size == 0:
-            return current.copy()
-        arrivals = np.bincount(desired[movers], minlength=self.topology.n_cells)
-        if np.all(self.load + arrivals <= self.capacities):
-            self.load += arrivals
-            self.load -= np.bincount(
-                current[movers], minlength=self.topology.n_cells
-            )
-            self.stats.admitted += int(movers.size)
-            return desired.copy()
+        current, desired, movers = _move_requests(current_cells, desired_cells)
         placed = current.copy()
-        for index in movers:
+        self._resolve_from(current, desired, movers, placed)
+        return placed
+
+    def _resolve_from(
+        self,
+        current: np.ndarray,
+        desired: np.ndarray,
+        movers: np.ndarray,
+        placed: np.ndarray,
+    ) -> None:
+        """Resolve ``movers`` (walk order) into ``placed``."""
+        while movers.size:
+            movers = self._settle_admitted(current, desired, movers, placed)
+            movers = self._walk_contended(current, desired, movers, placed)
+
+    def _settle_admitted(
+        self,
+        current: np.ndarray,
+        desired: np.ndarray,
+        movers: np.ndarray,
+        placed: np.ndarray,
+    ) -> np.ndarray:
+        """Admit the movers before the first full target; return the rest.
+
+        ``load + arrivals <= capacities`` is the cheap sufficient test
+        (nothing can overflow even before any departure frees a slot);
+        only when it fails does the exact greedy-turn test run — unless
+        so few movers are left that walking them is cheaper.
+        """
+        sources = current[movers]
+        targets = desired[movers]
+        arrivals = np.bincount(targets, minlength=self.load.size)
+        admitted = movers.size
+        if not np.all(self.load + arrivals <= self.capacities):
+            if admitted <= _WALK_STREAK:
+                return movers
+            full = _turn_overflows(self.load, self.capacities, sources, targets)
+            if full.size:
+                admitted = int(full.min())
+                arrivals = np.bincount(
+                    targets[:admitted], minlength=self.load.size
+                )
+        self.load += arrivals
+        self.load -= np.bincount(sources[:admitted], minlength=self.load.size)
+        self.stats.admitted += admitted
+        placed[movers[:admitted]] = targets[:admitted]
+        return movers[admitted:]
+
+    def _walk_contended(
+        self,
+        current: np.ndarray,
+        desired: np.ndarray,
+        movers: np.ndarray,
+        placed: np.ndarray,
+    ) -> np.ndarray:
+        """The greedy walk, one mover at a time, through a contended stretch.
+
+        Stops once :data:`_WALK_STREAK` movers in a row were admitted and
+        returns the movers not walked yet, so a lone spill costs a short
+        walk while a saturated slot never pays a settle per mover.
+        """
+        streak = 0
+        for position, index in enumerate(movers.tolist()):
+            if streak == _WALK_STREAK:
+                return movers[position:]
             source = int(current[index])
             target = int(desired[index])
             if self.load[target] >= self.capacities[target]:
+                streak = 0
                 spill = self._nearest_free(target)
                 if spill is None or spill == source:
                     self.stats.rejected += 1
@@ -178,11 +293,12 @@ class PlacementEngine:
                 target = spill
                 self.stats.spilled += 1
             else:
+                streak += 1
                 self.stats.admitted += 1
             self.load[source] -= 1
             self.load[target] += 1
             placed[index] = target
-        return placed
+        return movers[:0]
 
     # ------------------------------------------------------------------
     # Dynamic-world operations: per-slot capacity views, forced
@@ -336,8 +452,10 @@ class _RegionFallback(Exception):
 class ShardedPlacementEngine(PlacementEngine):
     """A :class:`PlacementEngine` that settles independent regions concurrently.
 
-    :meth:`resolve_moves` — the per-slot hot path — partitions each
-    slot's movers by topology region.  A region is *clean* when every
+    :meth:`resolve_moves` — the per-slot hot path — first admits every
+    mover before the slot's first full target with the serial engine's
+    exact greedy-turn settle, then partitions the remaining movers by
+    topology region.  A region is *clean* when every
     mover touching it has both source and target inside it; clean
     regions settle independently (optionally on a thread pool) because
     their greedy id-order walks read and write disjoint cells.  Movers
@@ -496,22 +614,13 @@ class ShardedPlacementEngine(PlacementEngine):
         """Region-sharded, bit-identical :meth:`PlacementEngine.resolve_moves`."""
         if self.partition.n_regions <= 1:
             return super().resolve_moves(current_cells, desired_cells)
-        current = np.asarray(current_cells, dtype=np.int64)
-        desired = np.asarray(desired_cells, dtype=np.int64)
-        if current.shape != desired.shape or current.ndim != 1:
-            raise ValueError("current and desired cells must be equal-length 1-D")
-        movers = np.flatnonzero(desired != current)
+        current, desired, movers = _move_requests(current_cells, desired_cells)
+        placed = current.copy()
+        # The serial engine's exact settle admits every mover before the
+        # first full target; only the movers from there on need regions.
+        movers = self._settle_admitted(current, desired, movers, placed)
         if movers.size == 0:
-            return current.copy()
-        arrivals = np.bincount(desired[movers], minlength=self.topology.n_cells)
-        if np.all(self.load + arrivals <= self.capacities):
-            # Global fast path, identical to the serial engine.
-            self.load += arrivals
-            self.load -= np.bincount(
-                current[movers], minlength=self.topology.n_cells
-            )
-            self.stats.admitted += int(movers.size)
-            return desired.copy()
+            return placed
 
         labels = self.partition.labels
         source_region = labels[current[movers]]
@@ -533,7 +642,6 @@ class ShardedPlacementEngine(PlacementEngine):
 
         load_snapshot = self.load.copy()
         stats_snapshot = PlacementStats(**self.stats.as_dict())
-        placed = current.copy()
         try:
             tasks = []
             for region in clean_regions:
@@ -567,7 +675,8 @@ class ShardedPlacementEngine(PlacementEngine):
         except _RegionFallback:
             self.load[:] = load_snapshot
             self.stats = stats_snapshot
-            return super().resolve_moves(current, desired)
+            self._resolve_from(current, desired, movers, placed)
+            return placed
         # Commit: merge per-group outcomes in deterministic group order.
         for (region_movers, _, _), (cells_after, delta) in zip(
             tasks, settled, strict=True

@@ -18,13 +18,15 @@ Stacking is an execution knob, never a modelling change:
 * **Placement** keeps one serial :class:`PlacementEngine` per run, but
   rebinds each engine's load vector to a view into one ``(S * L,)``
   stacked load array.  Each slot first tries to settle *all* runs with
-  O(1) numpy calls: offsetting run ``r``'s cells by ``r * L`` makes one
-  ``bincount`` the arrival count of the whole stack, and a run whose
-  requested sites all verifiably have room is exactly a run whose own
-  engine would have taken its vectorised fast path.  Only the runs that
-  actually contend fall back to their engine's greedy id-order walk —
-  the same walk, on the same view of the same load state, in the same
-  order, as the per-episode path.
+  O(1) numpy calls: offsetting run ``r``'s cells by ``r * L`` gives
+  every run its own sites, so one exact greedy-turn test
+  (:func:`~repro.mec.placement._turn_overflows`) finds, for the whole
+  stack, the runs in which some mover's target is full at its turn.
+  Every other run is one whose greedy walk admits every mover, and it
+  settles in one bincount.  Only a run with a real spill or reject
+  hands the slot to its own engine — the same exact settle, on the same
+  view of the same load state, in the same order, as the per-episode
+  path.
 * **Evaluation** scores the whole ``(S, N, T)`` stack in one vectorised
   shot for the shipped scoring detectors and replays the per-run
   tie-break draws from each run's own evaluation seed, reproducing
@@ -65,7 +67,12 @@ from .fleet import (
     _episode_metrics,
     _FleetSlotKernel,
 )
-from .placement import PlacementEngine, PlacementStats, ShardedPlacementEngine
+from .placement import (
+    PlacementEngine,
+    PlacementStats,
+    ShardedPlacementEngine,
+    _turn_overflows,
+)
 
 __all__ = ["StackedRunOutcome", "run_stacked", "supports_fast_metrics"]
 
@@ -91,12 +98,13 @@ class _StackedPlacement:
     """``S`` per-run placement engines over one stacked load array.
 
     Every run keeps its own serial engine (its stats, its capacity view,
-    its greedy fallback), but the engines' load vectors are rebound to
-    disjoint views of one ``(S * L,)`` array so the uncontended common
-    case settles the entire stack with a handful of numpy calls.  All of
-    the serial engine's load mutations are in-place (``+=``,
-    ``np.subtract.at``, slice assignment), so delegating a contended run
-    to its own engine operates on exactly the state the fast path left
+    its spill-and-reject walk), but the engines' load vectors are
+    rebound to disjoint views of one ``(S * L,)`` array so every run
+    whose greedy walk would admit all of its movers — contended or not —
+    settles with a handful of stack-wide numpy calls.  All of the serial
+    engine's load mutations are in-place (``+=``, ``np.subtract.at``,
+    slice assignment), so delegating an overflowing run to its own
+    engine operates on exactly the state the stack-wide settle left
     behind.
     """
 
@@ -145,7 +153,7 @@ class _StackedPlacement:
         return self._row_run if rows is None else self._row_run[rows]
 
     def _fits_by_run(self, arrivals: np.ndarray) -> np.ndarray:
-        """Per-run: would this run's own engine take its fast path?"""
+        """Per-run: does every requested site have room for all arrivals?"""
         stacked = (self.load_st + arrivals).reshape(self.run_stack, self.n_cells)
         return np.all(
             stacked <= self.caps_st.reshape(self.run_stack, self.n_cells), axis=1
@@ -220,7 +228,15 @@ class _StackedPlacement:
         current_sub: np.ndarray,
         desired_sub: np.ndarray,
     ) -> np.ndarray:
-        """Resolve one slot's moves for the whole stack."""
+        """Resolve one slot's moves for the whole stack.
+
+        Run ``r``'s sites are offset by ``r * L``, so every site's
+        movers belong to one run, in that run's walk order, and one
+        greedy-turn test covers the stack.  Every run none of whose
+        movers finds its target full settles with the stack-wide
+        bincounts; only a run that truly overflows delegates the slot to
+        its own engine.
+        """
         current = np.asarray(current_sub, dtype=np.int64)
         desired = np.asarray(desired_sub, dtype=np.int64)
         result = current.copy()
@@ -228,30 +244,25 @@ class _StackedPlacement:
         if movers.size == 0:
             return result
         runs = self._runs_of(rows)
-        cells = self.n_cells
         mover_runs = runs[movers]
-        arrivals = np.bincount(
-            desired[movers] + mover_runs * cells, minlength=self.load_st.size
-        )
-        fits = self._fits_by_run(arrivals)
-        fast_movers = movers[fits[mover_runs]]
-        if fast_movers.size:
-            fast_runs = runs[fast_movers]
-            self.load_st += np.bincount(
-                desired[fast_movers] + fast_runs * cells,
-                minlength=self.load_st.size,
-            )
-            self.load_st -= np.bincount(
-                current[fast_movers] + fast_runs * cells,
-                minlength=self.load_st.size,
-            )
-            self._credit_admitted(
-                np.bincount(fast_runs, minlength=self.run_stack)
-            )
-            fast_rows = fits[runs]
-            result[fast_rows] = desired[fast_rows]
-        moving = np.bincount(mover_runs, minlength=self.run_stack) > 0
-        for run in np.flatnonzero(moving & ~fits):
+        sources = current[movers] + mover_runs * self.n_cells
+        targets = desired[movers] + mover_runs * self.n_cells
+        size = self.load_st.size
+        arrivals = np.bincount(targets, minlength=size)
+        overflowing = np.zeros(self.run_stack, dtype=bool)
+        if not np.all(self.load_st + arrivals <= self.caps_st):
+            full = _turn_overflows(self.load_st, self.caps_st, sources, targets)
+            overflowing[mover_runs[full]] = True
+        if overflowing.any():
+            settled = ~overflowing[mover_runs]
+            movers, mover_runs = movers[settled], mover_runs[settled]
+            sources, targets = sources[settled], targets[settled]
+            arrivals = np.bincount(targets, minlength=size)
+        self.load_st += arrivals
+        self.load_st -= np.bincount(sources, minlength=size)
+        self._credit_admitted(np.bincount(mover_runs, minlength=self.run_stack))
+        result[movers] = desired[movers]
+        for run in np.flatnonzero(overflowing):
             indices = np.flatnonzero(runs == run)
             result[indices] = self.engines[int(run)].resolve_moves(
                 current[indices], desired[indices]
