@@ -22,11 +22,11 @@ makes the outcome deterministic and exactly computable in numpy: mover
 site's load plus the earlier movers' arrivals there minus their
 departures from it — is below capacity (:func:`_turn_overflows`).  Every
 mover before the first one that fails that test settles in two
-bincounts.  Only from a mover that actually finds its target full (a
-spill or a reject) is the slot walked one mover at a time, until a run of
-admissions shows the contended stretch is over and the rest is re-tested.
-So the vectorised fleet slot-loop stays O(T) numpy work even when sites
-turn over every slot, and a saturated slot costs what the plain walk does.
+bincounts.  From the first mover that actually finds its target full (a
+spill or a reject), the rest of the slot is walked one mover at a time.
+So the vectorised fleet slot-loop stays O(T) numpy work even when
+sites turn over every slot, and a saturated slot costs what the plain
+walk does.
 """
 
 from __future__ import annotations
@@ -44,12 +44,6 @@ __all__ = [
     "RegionPartition",
     "ShardedPlacementEngine",
 ]
-
-
-#: Movers admitted in a row after which a walk hands the rest of its slot
-#: back to the numpy settle: one exact greedy-turn test costs about as
-#: much as walking this many movers.
-_WALK_STREAK = 16
 
 
 def _turn_overflows(
@@ -211,26 +205,14 @@ class PlacementEngine:
         Returns the cell each service occupies after the slot, exactly as
         the greedy id-order walk (admit / spill / reject per service)
         would.  The movers before the first one whose target is full at
-        its greedy turn are all admitted and settle with two bincounts.
-        From that mover on the slot is walked one mover at a time until
-        the contended stretch is over, and the rest is re-tested.
+        its greedy turn are all admitted and settle with two bincounts;
+        the greedy walk resolves the rest, one mover at a time.
         """
         current, desired, movers = _move_requests(current_cells, desired_cells)
         placed = current.copy()
-        self._resolve_from(current, desired, movers, placed)
+        movers = self._settle_admitted(current, desired, movers, placed)
+        self._walk(current, desired, movers, placed)
         return placed
-
-    def _resolve_from(
-        self,
-        current: np.ndarray,
-        desired: np.ndarray,
-        movers: np.ndarray,
-        placed: np.ndarray,
-    ) -> None:
-        """Resolve ``movers`` (walk order) into ``placed``."""
-        while movers.size:
-            movers = self._settle_admitted(current, desired, movers, placed)
-            movers = self._walk_contended(current, desired, movers, placed)
 
     def _settle_admitted(
         self,
@@ -243,16 +225,13 @@ class PlacementEngine:
 
         ``load + arrivals <= capacities`` is the cheap sufficient test
         (nothing can overflow even before any departure frees a slot);
-        only when it fails does the exact greedy-turn test run — unless
-        so few movers are left that walking them is cheaper.
+        only when it fails does the exact greedy-turn test run.
         """
         sources = current[movers]
         targets = desired[movers]
         arrivals = np.bincount(targets, minlength=self.load.size)
         admitted = movers.size
         if not np.all(self.load + arrivals <= self.capacities):
-            if admitted <= _WALK_STREAK:
-                return movers
             full = _turn_overflows(self.load, self.capacities, sources, targets)
             if full.size:
                 admitted = int(full.min())
@@ -265,27 +244,18 @@ class PlacementEngine:
         placed[movers[:admitted]] = targets[:admitted]
         return movers[admitted:]
 
-    def _walk_contended(
+    def _walk(
         self,
         current: np.ndarray,
         desired: np.ndarray,
         movers: np.ndarray,
         placed: np.ndarray,
-    ) -> np.ndarray:
-        """The greedy walk, one mover at a time, through a contended stretch.
-
-        Stops once :data:`_WALK_STREAK` movers in a row were admitted and
-        returns the movers not walked yet, so a lone spill costs a short
-        walk while a saturated slot never pays a settle per mover.
-        """
-        streak = 0
-        for position, index in enumerate(movers.tolist()):
-            if streak == _WALK_STREAK:
-                return movers[position:]
+    ) -> None:
+        """The greedy id-order walk (admit / spill / reject) over ``movers``."""
+        for index in movers.tolist():
             source = int(current[index])
             target = int(desired[index])
             if self.load[target] >= self.capacities[target]:
-                streak = 0
                 spill = self._nearest_free(target)
                 if spill is None or spill == source:
                     self.stats.rejected += 1
@@ -293,12 +263,10 @@ class PlacementEngine:
                 target = spill
                 self.stats.spilled += 1
             else:
-                streak += 1
                 self.stats.admitted += 1
             self.load[source] -= 1
             self.load[target] += 1
             placed[index] = target
-        return movers[:0]
 
     # ------------------------------------------------------------------
     # Dynamic-world operations: per-slot capacity views, forced
@@ -675,7 +643,7 @@ class ShardedPlacementEngine(PlacementEngine):
         except _RegionFallback:
             self.load[:] = load_snapshot
             self.stats = stats_snapshot
-            self._resolve_from(current, desired, movers, placed)
+            self._walk(current, desired, movers, placed)
             return placed
         # Commit: merge per-group outcomes in deterministic group order.
         for (region_movers, _, _), (cells_after, delta) in zip(

@@ -1,8 +1,8 @@
 """Hypothesis fuzz: every placement engine equals the naive greedy walk.
 
-The engines settle a slot in numpy runs (the exact greedy-turn test
-admits every mover before the first full target in two bincounts) and
-walk only the contended stretches one mover at a time.  These properties pin
+The engines settle a slot in numpy (the exact greedy-turn test admits
+every mover before the first full target in two bincounts) and walk
+only the movers from there on one at a time.  These properties pin
 them, slot after slot, to :mod:`oracles.placement_walk` — the greedy
 id-order walk one mover at a time — on placed cells, site loads and
 :class:`PlacementStats`:
@@ -14,9 +14,7 @@ id-order walk one mover at a time — on placed cells, site loads and
 Worlds are random ring, grid and complete topologies with capacities
 1–4, filled completely, nearly or sparsely, and each slot's requests are
 random moves, a pure site turnover (a permutation of the current cells)
-or a shift to the next cell index.  The length of the admitted streak
-that ends a per-mover walk is drawn too: it only trades numpy settles
-for walked movers, so every value must give the same placements.
+or a shift to the next cell index.
 """
 
 from __future__ import annotations
@@ -24,12 +22,10 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from oracles.placement_walk import WalkPlacement
 
-from repro.mec import placement
 from repro.mec.placement import (
     PlacementEngine,
     PlacementStats,
@@ -122,11 +118,6 @@ def worlds(draw, n_runs: int = 1):
     return topology, n_services, runs
 
 
-#: Walk streaks to fuzz: 1 re-tests after every admitted mover, the
-#: default rarely re-tests at these sizes.
-streaks = st.sampled_from([1, 2, placement._WALK_STREAK])
-
-
 def _oracle_after_initial(topology, engine) -> WalkPlacement:
     """An oracle holding ``engine``'s placed loads; both stats reset."""
     engine.stats = PlacementStats()
@@ -184,38 +175,27 @@ class TestGreedyTurnTest:
 
 class TestPlacementMatchesGreedyWalk:
     @_SETTINGS
-    @given(world=worlds(), streak=streaks)
-    def test_serial_engine(self, world, streak):
+    @given(world=worlds())
+    def test_serial_engine(self, world):
         topology, _, [(initial, slots)] = world
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(placement, "_WALK_STREAK", streak)
-            _check_engine(PlacementEngine(topology), topology, initial, slots)
+        _check_engine(PlacementEngine(topology), topology, initial, slots)
 
     @_SETTINGS
     @given(
         world=worlds(),
         regions=st.integers(2, 3),
         workers=st.integers(1, 2),
-        streak=streaks,
     )
-    def test_sharded_engine(self, world, regions, workers, streak):
+    def test_sharded_engine(self, world, regions, workers):
         topology, _, [(initial, slots)] = world
         engine = ShardedPlacementEngine(
             topology, regions=regions, workers=workers
         )
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(placement, "_WALK_STREAK", streak)
-            _check_engine(engine, topology, initial, slots)
+        _check_engine(engine, topology, initial, slots)
 
     @_SETTINGS
-    @given(data=st.data(), n_runs=st.integers(1, 4), streak=streaks)
-    def test_stacked_placement(self, data, n_runs, streak):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(placement, "_WALK_STREAK", streak)
-            self._check_stacked(data, n_runs)
-
-    @staticmethod
-    def _check_stacked(data, n_runs):
+    @given(data=st.data(), n_runs=st.integers(1, 4))
+    def test_stacked_placement(self, data, n_runs):
         topology, n_services, runs = data.draw(worlds(n_runs))
         stacked = _StackedPlacement(
             SimpleNamespace(topology=topology), n_services, n_runs
