@@ -13,6 +13,13 @@ ignored, a random guess is made").
 Against randomised strategies (IM, RML, ROO, RMO) the map ``Gamma`` is not
 reproducible, so no trajectory matches and the detector degrades to plain
 ML detection — which is exactly why the robust variants work.
+
+``Gamma`` is the expensive part (against OO it is Algorithm 1), so the
+detector memoises it per distinct trajectory and fills the memo one batch
+at a time: the distinct not-yet-mapped rows of a whole ``(R, N, T)``
+observation tensor go through one batched ``deterministic_map`` call.
+Flagging then compares integer row ids — ``Gamma(x_s)`` against every
+``x_t`` of the same run — instead of testing trajectory pairs one by one.
 """
 
 from __future__ import annotations
@@ -56,11 +63,10 @@ class StrategyAwareDetector(TrajectoryDetector):
     ) -> None:
         self.assumed_strategy = assumed_strategy
         self._ml = MaximumLikelihoodDetector(tolerance=tolerance)
-        # Cache of trajectory bytes -> Gamma(trajectory).  The deterministic
-        # map is expensive for the OO strategy on large cell sets and the
-        # trace-driven experiments re-present the same fleet trajectories
-        # many times, so memoisation matters there.
-        self._map_cache: dict[bytes, np.ndarray | None] = {}
+        # Memo of trajectory bytes -> bytes of Gamma(trajectory).  The map
+        # is expensive for the OO strategy and the trace-driven experiments
+        # re-present the same fleet trajectories many times.
+        self._map_cache: dict[bytes, bytes] = {}
 
     def detect(
         self,
@@ -73,27 +79,10 @@ class StrategyAwareDetector(TrajectoryDetector):
         observed = np.asarray(trajectories, dtype=np.int64)
         if observed.ndim != 2 or observed.size == 0:
             raise ValueError("trajectories must be a non-empty (N, T) array")
-        flagged = self._flag_chaffs(chain, observed)
-        survivors = np.flatnonzero(~flagged)
-        if survivors.size == 0:
-            # Everything was attributed to a chaff: fall back to a guess.
-            chosen = int(rng.integers(0, observed.shape[0]))
-            return DetectionOutcome(
-                chosen_index=chosen,
-                scores=np.full(observed.shape[0], np.nan),
-                candidate_indices=np.arange(observed.shape[0]),
-            )
-        scores = np.full(observed.shape[0], -np.inf)
-        survivor_scores = trajectory_log_likelihoods(
-            chain, observed[survivors], transition_stack
+        batch = self.detect_batch(
+            chain, observed[None], [rng], transition_stack=transition_stack
         )
-        scores[survivors] = survivor_scores
-        best = float(survivor_scores.max())
-        candidates = survivors[survivor_scores >= best - self._ml.tolerance]
-        chosen = int(rng.choice(candidates))
-        return DetectionOutcome(
-            chosen_index=chosen, scores=scores, candidate_indices=candidates
-        )
+        return batch.outcome(0)
 
     def detect_batch(
         self,
@@ -105,13 +94,12 @@ class StrategyAwareDetector(TrajectoryDetector):
     ) -> BatchDetectionOutcome:
         """Run the Section VI-A eavesdropper over an ``(R, N, T)`` batch.
 
-        Chaff flagging stays per run (the deterministic map is a
-        per-trajectory computation, memoised across runs), but the ML
-        stage scores the *whole* tensor in one vectorised shot instead of
-        one likelihood pass per run.  Each run consumes its generator
-        exactly like a scalar :meth:`detect` call (one tie-break draw, or
-        one uniform guess when every trajectory was flagged), so batched
-        and looped execution stay bit-identical.
+        Chaff flagging maps the whole batch at once (see the module
+        docstring) and the ML stage scores the whole tensor in one
+        vectorised shot.  Each run consumes its generator exactly like a
+        single-episode :meth:`detect` call (one tie-break draw, or one
+        uniform guess when every trajectory was flagged), so batched and
+        looped execution stay bit-identical.
         """
         observed = _validate_batch(trajectories)
         rngs = list(rngs)
@@ -119,13 +107,14 @@ class StrategyAwareDetector(TrajectoryDetector):
         if len(rngs) != n_runs:
             raise ValueError("need exactly one generator per run")
         all_scores = trajectory_log_likelihoods(chain, observed, transition_stack)
+        flagged = self._flag_chaffs(chain, observed)
         scores = np.full((n_runs, n), -np.inf)
         chosen = np.empty(n_runs, dtype=np.int64)
         candidates_per_run: list[np.ndarray] = []
         for run in range(n_runs):
-            flagged = self._flag_chaffs(chain, observed[run])
-            survivors = np.flatnonzero(~flagged)
+            survivors = np.flatnonzero(~flagged[run])
             if survivors.size == 0:
+                # Everything was attributed to a chaff: fall back to a guess.
                 scores[run] = np.nan
                 chosen[run] = int(rngs[run].integers(0, n))
                 candidates_per_run.append(np.arange(n))
@@ -144,29 +133,29 @@ class StrategyAwareDetector(TrajectoryDetector):
 
     # ------------------------------------------------------------------
     def _flag_chaffs(self, chain: MarkovChain, observed: np.ndarray) -> np.ndarray:
-        """Mark trajectories recognised as the strategy's chaff of another."""
-        n = observed.shape[0]
-        flagged = np.zeros(n, dtype=bool)
+        """``(R, N)`` mask of trajectories that are Gamma of another in their run."""
+        n_runs, n, horizon = observed.shape
         if not self.assumed_strategy.is_deterministic:
             # Randomised strategies have no reproducible map: nothing can
-            # be flagged, and caching the per-trajectory ``None``s would
-            # only grow the memo across Monte-Carlo batches for nothing.
-            return flagged
-        maps: list[np.ndarray | None] = []
-        for index in range(n):
-            key = observed[index].tobytes()
-            if key not in self._map_cache:
-                self._map_cache[key] = self.assumed_strategy.deterministic_map(
-                    chain, observed[index]
-                )
-            maps.append(self._map_cache[key])
-        for source in range(n):
-            gamma = maps[source]
-            if gamma is None:
-                continue
-            for target in range(n):
-                if target == source:
-                    continue
-                if np.array_equal(observed[target], gamma):
-                    flagged[target] = True
-        return flagged
+            # be flagged, and memoising ``None``s would only grow the memo
+            # across Monte-Carlo batches for nothing.
+            return np.zeros((n_runs, n), dtype=bool)
+        rows = observed.reshape(-1, horizon)
+        keys = [row.tobytes() for row in rows]
+        # A distinct row's id is the index of its first occurrence.
+        first: dict[bytes, int] = {}
+        for index, key in enumerate(keys):
+            first.setdefault(key, index)
+        unseen = [index for key, index in first.items() if key not in self._map_cache]
+        if unseen:
+            maps = self.assumed_strategy.deterministic_map(chain, rows[unseen])
+            for index, gamma in zip(unseen, np.asarray(maps, np.int64), strict=True):
+                self._map_cache[keys[index]] = gamma.tobytes()
+        row_ids = np.array([first[key] for key in keys]).reshape(n_runs, n)
+        map_ids = np.array(
+            [first.get(self._map_cache[key], -1) for key in keys]
+        ).reshape(n_runs, n)
+        # matches[r, s, t]: Gamma of row s is row t (s != t) in run r.
+        matches = map_ids[:, :, None] == row_ids[:, None, :]
+        matches[:, np.arange(n), np.arange(n)] = False
+        return matches.any(axis=1)

@@ -129,21 +129,27 @@ class ChaffStrategy(abc.ABC):
 
     # ------------------------------------------------------------------
     def deterministic_map(
-        self, chain: MarkovChain, user_trajectory: np.ndarray
+        self, chain: MarkovChain, trajectories: np.ndarray
     ) -> np.ndarray | None:
         """The map ``Gamma(x_1)`` used by the advanced eavesdropper.
 
         For deterministic single-chaff strategies this returns the chaff
         trajectory the strategy would produce for a given "user"
         trajectory; the advanced eavesdropper applies it to every observed
-        trajectory to unmask chaffs (Section VI-A3).  Randomised
-        strategies return ``None``.
+        trajectory to unmask chaffs (Section VI-A3).  ``trajectories`` is
+        one ``(T,)`` trajectory or a ``(B, T)`` batch, mapped through
+        :meth:`generate_batch` in one call; the result has the same shape.
+        A deterministic strategy ignores its generator, so every row shares
+        one.  Randomised strategies return ``None``.
         """
         if not self.is_deterministic:
             return None
-        user = as_trajectory_array(user_trajectory)
-        chaffs = self.generate(chain, user, 1, np.random.default_rng(0))
-        return chaffs[0]
+        rows = np.asarray(trajectories, dtype=np.int64)
+        batch = np.atleast_2d(rows)
+        maps = self.generate_batch(
+            chain, batch, 1, [np.random.default_rng(0)] * batch.shape[0]
+        )[:, 0]
+        return maps if rows.ndim == 2 else maps[0]
 
     # ------------------------------------------------------------------
     @staticmethod

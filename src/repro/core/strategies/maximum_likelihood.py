@@ -71,10 +71,3 @@ class MaximumLikelihoodStrategy(ChaffStrategy):
     def most_likely(self, chain: MarkovChain, horizon: int) -> np.ndarray:
         """The precomputable ML trajectory used by the first chaff."""
         return most_likely_trajectory(chain, horizon)
-
-    def deterministic_map(
-        self, chain: MarkovChain, user_trajectory: np.ndarray
-    ) -> np.ndarray:
-        """The ML chaff trajectory does not depend on the user's trajectory."""
-        user = np.asarray(user_trajectory, dtype=np.int64)
-        return self.most_likely(chain, user.size)

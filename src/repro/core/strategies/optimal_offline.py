@@ -9,35 +9,81 @@ trajectory that
   slots as possible (minimising the eavesdropper's tracking accuracy).
 
 The paper solves this by dynamic programming over the trellis of Fig. 2
-with an extra "remaining intersections" dimension ``i``.  We compute the
-DP layer by layer in ``i`` (``i = 0, 1, 2, ...``) and stop at the first
-layer whose optimal cost beats the user's path cost, which is equivalent
-to the paper's ``O(T^2 L^2)`` formulation but typically far cheaper since
-the optimal number of intersections ``i*`` is small.
+with an extra "remaining intersections" dimension ``i``: the cost-to-go
+``K^i_t`` of layer ``i`` at slot ``t`` reads ``K^i_{t+1}`` everywhere
+except on the user's cell, where sitting costs one unit of budget and it
+reads ``K^{i-1}_{t+1}``.  The optimum ``i*`` is the first layer whose best
+path beats the user's cost.
 
-The solver accepts an ``allowed`` mask of per-slot permitted cells, which
-is how the robust ROO variant injects its random exclusion sets.
+:func:`solve_optimal_offline_batch` solves a whole ``(B, T)`` batch of
+users at once, sweeping *blocks* of layers instead of single layers:
+
+* one backward sweep over ``t`` advances every layer ``[k0, k1)`` of
+  every still-active user with one ``(B, K, L, L)`` add / ``min`` /
+  ``argmin``.  The minima land in a ``(B, K + 1, L)`` slab whose entry 0
+  is layer ``k0 - 1``, kept from the previous block, so layer ``k``'s
+  user-cell ("lower") value is simply layer ``k - 1``'s same-layer value
+  of the same step — never a second ``argmin``;
+* blocks start at two layers and double, so a user with a small ``i*``
+  pays for few layers while a tie-bound user (``i*`` close to ``T``)
+  needs only ``O(log T)`` sweeps; a block is also never wider than keeps
+  one step's tensor within ``_STEP_ELEMENTS``, so while many users are
+  active the blocks stay narrow and few layers are swept past ``i*``;
+* a user leaves the sweep as soon as one layer of a block beats it, and
+  its ``i*`` is the *first* such layer, so the result — including every
+  first-hit ``argmin`` tie-break — is exactly the layer-by-layer DP's;
+* backtracking runs over all users at once, reading hop tables stored in
+  the narrowest integer dtype that holds a cell index.
+
+Infeasible rows (no trajectory at least as likely as the user's under the
+row's mask) are reported, not raised, so one bad mask cannot abort a
+batch.  :func:`solve_optimal_offline` is the single-user wrapper and
+raises :class:`~repro.core.trellis.InfeasibleTrellisError` instead.
+
+The ``allowed`` masks are how the robust ROO variant injects its random
+exclusion sets.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
+import numpy.typing as npt
 
 from ...mobility.markov import MarkovChain
 from ..trellis import (
     InfeasibleTrellisError,
+    most_likely_trajectories,
     most_likely_trajectory,
     trajectory_cost,
     validate_allowed_mask,
 )
 from .base import ChaffStrategy, register_strategy
 
-__all__ = ["OptimalOfflineStrategy", "OptimalOfflineResult", "solve_optimal_offline"]
+__all__ = [
+    "OptimalOfflineStrategy",
+    "OptimalOfflineResult",
+    "OptimalOfflineBatch",
+    "solve_optimal_offline",
+    "solve_optimal_offline_batch",
+]
 
 _INF = np.inf
 
+_NO_PATH = "optimal offline DP found no trajectory at least as likely as the user's"
+
+#: Layers in the first block of the sweep; later blocks double.
+_FIRST_BLOCK = 2
+
+#: Float elements of one step's ``(B, K, L, L)`` candidate tensor;
+#: the block width (and, for huge ``L``, the row chunk) shrinks to fit.
+_STEP_ELEMENTS = 1 << 16
+
+#: Bytes of one row chunk's hop table ``(B, T + 1, T - 1, L)``.
+_HOP_BYTES = 1 << 26
 
 @dataclass(frozen=True)
 class OptimalOfflineResult:
@@ -65,22 +111,42 @@ class OptimalOfflineResult:
     strict: bool
 
 
-def _terminal_layer(
-    n_cells: int, allowed_last: np.ndarray, user_last: int, layer: int
-) -> np.ndarray:
-    """Cost-to-go at the final slot for intersection budget ``layer``."""
-    costs = np.where(allowed_last, 0.0, _INF)
-    if layer == 0:
-        costs = costs.copy()
-        costs[user_last] = _INF
-    return costs
+@dataclass(frozen=True)
+class OptimalOfflineBatch:
+    """Outcome of the OO dynamic program for a ``(B, T)`` batch of users.
+
+    Row ``b`` of every field is :class:`OptimalOfflineResult`'s field for
+    user ``b``.  Rows marked ``infeasible`` have no trajectory at least as
+    likely as their user under their mask; their ``trajectories`` row is
+    ``-1``, their ``intersections`` ``-1`` and their ``chaff_costs``
+    ``nan``.
+    """
+
+    trajectories: np.ndarray
+    intersections: np.ndarray
+    chaff_costs: np.ndarray
+    user_costs: np.ndarray
+    strict: np.ndarray
+    infeasible: np.ndarray
+
+    def result(self, row: int) -> OptimalOfflineResult:
+        """The single-user result of one feasible row."""
+        if self.infeasible[row]:
+            raise InfeasibleTrellisError(_NO_PATH)
+        return OptimalOfflineResult(
+            trajectory=self.trajectories[row].copy(),
+            intersections=int(self.intersections[row]),
+            chaff_cost=float(self.chaff_costs[row]),
+            user_cost=float(self.user_costs[row]),
+            strict=bool(self.strict[row]),
+        )
 
 
 def solve_optimal_offline(
     chain: MarkovChain,
-    user_trajectory: np.ndarray,
+    user_trajectory: npt.ArrayLike,
     *,
-    allowed: np.ndarray | None = None,
+    allowed: npt.ArrayLike | None = None,
     tolerance: float = 1e-9,
 ) -> OptimalOfflineResult:
     """Run Algorithm 1 and return the optimal chaff trajectory.
@@ -96,106 +162,234 @@ def solve_optimal_offline(
         cells marked ``True`` (used by the ROO strategy).
     tolerance:
         Numerical slack when comparing path costs.
+
+    Raises :class:`~repro.core.trellis.InfeasibleTrellisError` when a slot
+    allows no cell or no allowed trajectory is at least as likely as the
+    user's.
     """
     user = np.asarray(user_trajectory, dtype=np.int64)
     if user.ndim != 1 or user.size == 0:
         raise ValueError("user trajectory must be a non-empty 1-D sequence")
-    horizon = user.size
-    n_cells = chain.n_states
-    mask = validate_allowed_mask(allowed, horizon, n_cells)
+    masks: np.ndarray | None = None
+    if allowed is not None:
+        masks = validate_allowed_mask(
+            np.asarray(allowed), user.size, chain.n_states
+        )[None]
+    solved = solve_optimal_offline_batch(
+        chain, user[None], allowed=masks, tolerance=tolerance
+    )
+    return solved.result(0)
 
+
+def solve_optimal_offline_batch(
+    chain: MarkovChain,
+    users: npt.ArrayLike,
+    *,
+    allowed: npt.ArrayLike | None = None,
+    tolerance: float = 1e-9,
+) -> OptimalOfflineBatch:
+    """Run Algorithm 1 for every row of a ``(B, T)`` user batch at once.
+
+    ``allowed`` is ``None`` (every cell allowed) or a ``(B, T, L)``
+    boolean mask stack, one mask per row.  Each row's result equals
+    :func:`solve_optimal_offline` on that row exactly; infeasible rows are
+    flagged in the result instead of raising.
+    """
+    user_rows = np.asarray(users, dtype=np.int64)
+    if user_rows.ndim != 2 or user_rows.size == 0:
+        raise ValueError("users must be a non-empty (B, T) array")
+    n_rows, horizon = user_rows.shape
+    n_cells = chain.n_states
+    if user_rows.min() < 0 or user_rows.max() >= n_cells:
+        raise ValueError("user trajectories contain out-of-range cells")
+    masks: np.ndarray | None = None
+    if allowed is not None:
+        masks = np.asarray(allowed, dtype=bool)
+        if masks.shape != (n_rows, horizon, n_cells):
+            raise ValueError(
+                f"allowed must have shape ({n_rows}, {horizon}, {n_cells}), "
+                f"got {masks.shape}"
+            )
+
+    user_costs = np.array([trajectory_cost(chain, row) for row in user_rows])
+    # Whether a strictly better path exists at all (unconstrained in
+    # intersections) fixes the comparison used for i*.
+    if masks is None:
+        best_cost = trajectory_cost(chain, most_likely_trajectory(chain, horizon))
+        best_costs = np.full(n_rows, best_cost)
+        infeasible = np.zeros(n_rows, dtype=bool)
+    else:
+        best_paths, infeasible = most_likely_trajectories(chain, horizon, masks)
+        best_costs = np.array(
+            [
+                _INF if bad else trajectory_cost(chain, path)
+                for path, bad in zip(best_paths, infeasible, strict=True)
+            ]
+        )
+    strict = best_costs < user_costs - tolerance
+
+    trajectories = np.full((n_rows, horizon), -1, dtype=np.int64)
     neg_log_pi = -chain.log_stationary
     neg_log_P = -chain.log_transition_matrix
-    user_cost = trajectory_cost(chain, user)
-
-    # Decide whether a strictly better path exists at all (unconstrained in
-    # intersections); this fixes the comparison used for i*.
-    best_unconstrained = most_likely_trajectory(chain, horizon, allowed=mask)
-    best_cost = trajectory_cost(chain, best_unconstrained)
-    strict = best_cost < user_cost - tolerance
-
-    def beats_user(cost: float) -> bool:
-        if strict:
-            return cost < user_cost - tolerance
-        return cost <= user_cost + tolerance
-
-    previous_costs: list[np.ndarray] | None = None  # K^{i-1}_t for all t
-    next_hops_by_layer: list[np.ndarray] = []  # n^i_t arrays, indexed by i
-    start_by_layer: list[int] = []
-    total_by_layer: list[float] = []
-
-    max_layers = horizon + 1
-    chosen_layer: int | None = None
-    for layer in range(max_layers):
-        costs = [np.empty(0)] * horizon  # K^layer_t, each (L,)
-        hops = np.full((horizon, n_cells), -1, dtype=np.int64)
-        costs[horizon - 1] = _terminal_layer(
-            n_cells, mask[horizon - 1], int(user[horizon - 1]), layer
-        )
-        for t in range(horizon - 2, -1, -1):
-            next_same = costs[t + 1]
-            candidate_same = neg_log_P + next_same[None, :]
-            best_next_same = np.argmin(candidate_same, axis=1)
-            best_cost_same = candidate_same[np.arange(n_cells), best_next_same]
-            if layer >= 1 and previous_costs is not None:
-                next_lower = previous_costs[t + 1]
-                candidate_lower = neg_log_P + next_lower[None, :]
-                best_next_lower = np.argmin(candidate_lower, axis=1)
-                best_cost_lower = candidate_lower[np.arange(n_cells), best_next_lower]
-            else:
-                best_next_lower = np.zeros(n_cells, dtype=np.int64)
-                best_cost_lower = np.full(n_cells, _INF)
-            layer_cost = best_cost_same.copy()
-            layer_hop = best_next_same.copy()
-            user_cell = int(user[t])
-            layer_cost[user_cell] = best_cost_lower[user_cell]
-            layer_hop[user_cell] = best_next_lower[user_cell]
-            layer_cost[~mask[t]] = _INF
-            costs[t] = layer_cost
-            hops[t] = layer_hop
-        start_costs = neg_log_pi + costs[0]
-        start_cell = int(np.argmin(start_costs))
-        total_cost = float(start_costs[start_cell])
-
-        next_hops_by_layer.append(hops)
-        start_by_layer.append(start_cell)
-        total_by_layer.append(total_cost)
-        previous_costs = costs
-
-        if np.isfinite(total_cost) and beats_user(total_cost):
-            chosen_layer = layer
-            break
-
-    if chosen_layer is None:
-        raise InfeasibleTrellisError(
-            "optimal offline DP found no trajectory at least as likely as the user's"
-        )
-
-    # Backtrack: consume one unit of intersection budget whenever the chaff
-    # sits on the user's cell.
-    trajectory = np.empty(horizon, dtype=np.int64)
-    budget = chosen_layer
-    trajectory[0] = start_by_layer[chosen_layer]
-    for t in range(horizon - 1):
-        current = int(trajectory[t])
-        # The stored next hop for budget ``b`` already accounts for an
-        # intersection at slot ``t`` (it reads the lower layer when the chaff
-        # sits on the user's cell), so look up first, then decrement.
-        trajectory[t + 1] = next_hops_by_layer[budget][t, current]
-        if current == int(user[t]):
-            budget -= 1
-        if budget < 0:  # pragma: no cover - guarded by DP construction
-            raise RuntimeError("intersection budget went negative during backtracking")
-
-    intersections = int(np.sum(trajectory == user))
-    chaff_cost = trajectory_cost(chain, trajectory)
-    return OptimalOfflineResult(
-        trajectory=trajectory,
-        intersections=intersections,
-        chaff_cost=chaff_cost,
-        user_cost=user_cost,
-        strict=strict,
+    hop_dtype = np.min_scalar_type(n_cells - 1)
+    per_row = max(
+        1,
+        min(
+            _STEP_ELEMENTS // (n_cells * n_cells),
+            _HOP_BYTES
+            // ((horizon + 1) * max(horizon - 1, 1) * n_cells * hop_dtype.itemsize),
+        ),
     )
+    pending = np.flatnonzero(~infeasible)
+    for first in range(0, pending.size, per_row):
+        rows = pending[first : first + per_row]
+        found, paths = _solve_rows(
+            neg_log_pi,
+            neg_log_P,
+            user_rows[rows],
+            None if masks is None else masks[rows],
+            strict[rows],
+            user_costs[rows],
+            tolerance,
+            hop_dtype,
+        )
+        trajectories[rows[found]] = paths[found]
+        infeasible[rows[~found]] = True
+
+    feasible = ~infeasible
+    intersections = np.where(
+        feasible, np.sum(trajectories == user_rows, axis=1), -1
+    ).astype(np.int64)
+    chaff_costs = np.array(
+        [
+            trajectory_cost(chain, path) if ok else np.nan
+            for path, ok in zip(trajectories, feasible, strict=True)
+        ]
+    )
+    return OptimalOfflineBatch(
+        trajectories=trajectories,
+        intersections=intersections,
+        chaff_costs=chaff_costs,
+        user_costs=user_costs,
+        strict=strict,
+        infeasible=infeasible,
+    )
+
+
+def _solve_rows(
+    neg_log_pi: np.ndarray,
+    neg_log_P: np.ndarray,
+    users: np.ndarray,
+    masks: np.ndarray | None,
+    strict: np.ndarray,
+    user_costs: np.ndarray,
+    tolerance: float,
+    hop_dtype: np.dtype[Any],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Block sweep plus backtracking for one chunk of feasible rows.
+
+    Returns ``(found, trajectories)``: rows with ``found`` false have no
+    layer that beats their user.
+    """
+    n_rows, horizon = users.shape
+    n_cells = neg_log_P.shape[0]
+    n_layers = horizon + 1
+    on_user = users[:, :, None] == np.arange(n_cells)  # (B, T, L)
+    # Adding 0 (allowed) or inf (forbidden) to a cost is exact, so this is
+    # the DP's "forbidden cells cost inf" without a masked assignment.
+    penalty = None if masks is None else np.where(masks, 0.0, _INF)
+    beat_below = user_costs - tolerance
+    tie_below = user_costs + tolerance
+
+    # hops[b, t, k, x]: argmin over the next cell of layer k's same-layer
+    # candidates at slot t.  On the user's cell, budget k reads layer k - 1.
+    hops = np.empty((n_rows, horizon - 1, n_layers, n_cells), dtype=hop_dtype)
+    chosen = np.full(n_rows, -1, dtype=np.int64)
+    starts = np.zeros(n_rows, dtype=np.int64)
+    # The last swept layer's per-slot same-layer minima (masked): the
+    # user-cell input of the next block's first layer.
+    lower = np.full((n_rows, horizon - 1, n_cells), _INF)
+    active = np.arange(n_rows)
+    first, width = 0, _FIRST_BLOCK
+    while active.size and first < n_layers:
+        fit = max(1, _STEP_ELEMENTS // (active.size * n_cells * n_cells))
+        stop = min(n_layers, first + width, first + fit)
+        costs, block_hops, lower[active] = _sweep_block(
+            neg_log_P,
+            on_user[active],
+            None if penalty is None else penalty[active],
+            lower[active],
+            first,
+            stop - first,
+        )
+        hops[active, :, first:stop] = block_hops
+
+        start_costs = neg_log_pi + costs  # (b, K, L)
+        totals = start_costs.min(axis=2)
+        wins = np.isfinite(totals) & np.where(
+            strict[active, None],
+            totals < beat_below[active, None],
+            totals <= tie_below[active, None],
+        )
+        hit = wins.any(axis=1)
+        layer = wins.argmax(axis=1)[hit]
+        chosen[active[hit]] = first + layer
+        starts[active[hit]] = start_costs[hit, layer].argmin(axis=1)
+        active = active[~hit]
+        first, width = stop, 2 * width
+
+    found = chosen >= 0
+    rows = np.flatnonzero(found)
+    user_rows = users[rows]
+    # Backtrack every solved row at once, spending one unit of budget
+    # whenever the chaff sits on the user's cell.
+    paths = np.empty((horizon, rows.size), dtype=np.int64)
+    current = paths[0] = starts[rows]
+    budget = chosen[rows]
+    for t in range(horizon - 1):
+        budget = budget - (current == user_rows[:, t])
+        current = paths[t + 1] = hops[rows, t, budget, current]
+    trajectories = np.empty((n_rows, horizon), dtype=np.int64)
+    trajectories[rows] = paths.T
+    return found, trajectories
+
+
+def _sweep_block(
+    neg_log_P: np.ndarray,
+    on_user: np.ndarray,
+    penalty: np.ndarray | None,
+    lower: np.ndarray,
+    first: int,
+    width: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One backward sweep over ``t`` for layers ``[first, first + width)``.
+
+    Returns the slot-0 cost-to-go ``(b, K, L)``, the same-layer hop table
+    ``(b, T - 1, K, L)`` and the last layer's per-slot same-layer minima
+    ``(b, T - 1, L)`` (the next block's ``lower``).
+    """
+    n_rows, horizon, n_cells = on_user.shape
+    cost = np.zeros((n_rows, width, n_cells))
+    if penalty is not None:
+        cost += penalty[:, -1, None, :]
+    if first == 0:
+        cost[:, 0][on_user[:, -1]] = _INF
+    # same[:, t, j]: masked min over the next cell for layer first - 1 + j
+    # at slot t; entry 0 is the previous block's last layer.
+    same = np.empty((n_rows, horizon - 1, width + 1, n_cells))
+    same[:, :, 0] = lower
+    hops = np.empty((n_rows, horizon - 1, width, n_cells), dtype=np.intp)
+    candidate = np.empty((n_rows, width, n_cells, n_cells))
+    for t in range(horizon - 2, -1, -1):
+        np.add(cost[:, :, None, :], neg_log_P, out=candidate)
+        step = same[:, t]
+        candidate.min(axis=3, out=step[:, 1:])
+        candidate.argmin(axis=3, out=hops[:, t])
+        if penalty is not None:
+            step[:, 1:] += penalty[:, t, None, :]
+        # On the user's cell layer k costs layer k - 1's same-layer value.
+        cost = np.where(on_user[:, t, None, :], step[:, :-1], step[:, 1:])
+    return cost, hops, same[:, :, width]
 
 
 @register_strategy
@@ -220,3 +414,19 @@ class OptimalOfflineStrategy(ChaffStrategy):
         # benefit from more chaffs.
         chaff = solve_optimal_offline(chain, user).trajectory
         return np.tile(chaff, (n_chaffs, 1))
+
+    def generate_batch(
+        self,
+        chain: MarkovChain,
+        user_trajectories: np.ndarray,
+        n_chaffs: int,
+        rngs: Sequence[np.random.Generator],
+    ) -> np.ndarray:
+        """Vectorised batch: one block-sweep solve over all runs."""
+        users, rngs = self._validate_batch_inputs(
+            chain, user_trajectories, n_chaffs, rngs
+        )
+        solved = solve_optimal_offline_batch(chain, users)
+        if solved.infeasible.any():
+            raise InfeasibleTrellisError(_NO_PATH)
+        return np.repeat(solved.trajectories[:, None, :], n_chaffs, axis=1)

@@ -274,15 +274,12 @@ def most_likely_trajectories(
 
     cost = np.where(masks[:, 0], neg_log_pi[None, :], _INF)
     backpointers = np.zeros((n_batch, horizon, n_cells), dtype=np.int64)
+    candidate = np.empty((n_batch, n_cells, n_cells))
     for t in range(1, horizon):
-        candidate = cost[:, :, None] + neg_log_P[None, :, :]
-        best_prev = np.argmin(candidate, axis=1)
-        best_cost = np.take_along_axis(candidate, best_prev[:, None, :], axis=1)[
-            :, 0, :
-        ]
-        best_cost = np.where(masks[:, t], best_cost, _INF)
-        backpointers[:, t] = best_prev
-        cost = best_cost
+        np.add(cost[:, :, None], neg_log_P, out=candidate)
+        candidate.argmin(axis=1, out=backpointers[:, t])
+        # The minimum is exactly the first-argmin entry; no gather needed.
+        cost = np.where(masks[:, t], candidate.min(axis=1), _INF)
     final = np.argmin(cost, axis=1)
     infeasible = ~np.isfinite(cost[np.arange(n_batch), final])
     trajectories = np.empty((n_batch, horizon), dtype=np.int64)

@@ -361,6 +361,11 @@ class MarkovChain:
     _cumulative_initial: "np.ndarray | None" = field(
         init=False, repr=False, default=None
     )
+    #: Read-only floored log of ``_stationary``, built on first access
+    #: (the sparse subclass sets ``_stationary`` in its own constructor).
+    _log_stationary: "np.ndarray | None" = field(
+        init=False, repr=False, default=None
+    )
     #: Per-``top_k`` memo of the trellis predecessor structure, populated
     #: lazily by :func:`repro.core.trellis._predecessor_structure`.
     _trellis_predecessors: (
@@ -399,8 +404,12 @@ class MarkovChain:
 
     @property
     def log_stationary(self) -> np.ndarray:
-        """Natural log of the stationary distribution (floored)."""
-        return _safe_log(self._stationary)
+        """Natural log of the stationary distribution (floored, read-only)."""
+        if self._log_stationary is None:
+            log_pi = _safe_log(self._stationary)
+            log_pi.flags.writeable = False
+            self._log_stationary = log_pi
+        return self._log_stationary
 
     @property
     def log_transition_matrix(self) -> np.ndarray:
