@@ -108,7 +108,7 @@ class ChaffStrategy(abc.ABC):
         Run ``r`` consumes only ``rngs[r]``, and in exactly the order a
         scalar :meth:`generate` call would, so the batched Monte-Carlo
         engine reproduces the looped engine bit for bit.  This default
-        loops over runs; the ML/RML, IM, MO and CML families override it
+        loops over runs; the ML/RML, IM, MO, CML and OO families override it
         with true vectorised implementations.
 
         Returns

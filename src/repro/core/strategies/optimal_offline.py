@@ -83,7 +83,7 @@ _FIRST_BLOCK = 2
 _STEP_ELEMENTS = 1 << 16
 
 #: Bytes of one row chunk's hop table ``(B, T + 1, T - 1, L)``.
-_HOP_BYTES = 1 << 26
+_HOP_BYTES = 1 << 22
 
 @dataclass(frozen=True)
 class OptimalOfflineResult:
@@ -321,6 +321,7 @@ def _solve_rows(
             lower[active],
             first,
             stop - first,
+            hop_dtype,
         )
         hops[active, :, first:stop] = block_hops
 
@@ -361,6 +362,7 @@ def _sweep_block(
     lower: np.ndarray,
     first: int,
     width: int,
+    hop_dtype: np.dtype[Any],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One backward sweep over ``t`` for layers ``[first, first + width)``.
 
@@ -374,22 +376,25 @@ def _sweep_block(
         cost += penalty[:, -1, None, :]
     if first == 0:
         cost[:, 0][on_user[:, -1]] = _INF
-    # same[:, t, j]: masked min over the next cell for layer first - 1 + j
-    # at slot t; entry 0 is the previous block's last layer.
-    same = np.empty((n_rows, horizon - 1, width + 1, n_cells))
-    same[:, :, 0] = lower
-    hops = np.empty((n_rows, horizon - 1, width, n_cells), dtype=np.intp)
+    # step[:, j]: masked min over the next cell for layer first - 1 + j at
+    # the current slot; entry 0 is the previous block's last layer.
+    step = np.empty((n_rows, width + 1, n_cells))
+    last = np.empty_like(lower)
+    hops = np.empty((n_rows, horizon - 1, width, n_cells), dtype=hop_dtype)
+    argmins = np.empty((n_rows, width, n_cells), dtype=np.intp)
     candidate = np.empty((n_rows, width, n_cells, n_cells))
     for t in range(horizon - 2, -1, -1):
         np.add(cost[:, :, None, :], neg_log_P, out=candidate)
-        step = same[:, t]
+        step[:, 0] = lower[:, t]
         candidate.min(axis=3, out=step[:, 1:])
-        candidate.argmin(axis=3, out=hops[:, t])
+        candidate.argmin(axis=3, out=argmins)
+        hops[:, t] = argmins
         if penalty is not None:
             step[:, 1:] += penalty[:, t, None, :]
+        last[:, t] = step[:, width]
         # On the user's cell layer k costs layer k - 1's same-layer value.
         cost = np.where(on_user[:, t, None, :], step[:, :-1], step[:, 1:])
-    return cost, hops, same[:, :, width]
+    return cost, hops, last
 
 
 @register_strategy

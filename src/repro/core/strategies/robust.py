@@ -34,7 +34,7 @@ from ..trellis import (
 from .base import ChaffStrategy, register_strategy
 from .constrained_ml import ConstrainedMLController
 from .myopic_online import MyopicOnlineController
-from .optimal_offline import solve_optimal_offline, solve_optimal_offline_batch
+from .optimal_offline import solve_optimal_offline
 
 __all__ = [
     "RobustMLStrategy",
@@ -181,44 +181,6 @@ class RobustOptimalOfflineStrategy(ChaffStrategy):
                 chaff = ConstrainedMLController(chain).run(user)
             chaffs[index] = chaff
             trajectories.append(chaff)
-        return chaffs
-
-    def generate_batch(
-        self,
-        chain: MarkovChain,
-        user_trajectories: np.ndarray,
-        n_chaffs: int,
-        rngs: Sequence[np.random.Generator],
-    ) -> np.ndarray:
-        """Vectorised batch: one masked block-sweep OO solve per chaff index.
-
-        Like :meth:`RobustMLStrategy.generate_batch`: the chaff axis stays
-        sequential, each run's exclusion mask is sampled in run order from
-        that run's own generator, and the ``R`` masked problems are solved
-        in one :func:`solve_optimal_offline_batch` call.  Runs whose mask
-        leaves no trajectory at least as likely as the user's fall back to
-        the constrained-ML controller, exactly like the scalar path.  A
-        single run has nothing to batch across and takes the scalar path,
-        whose :func:`solve_optimal_offline` is the one-row wrapper of the
-        same kernel.
-        """
-        users, rngs = self._validate_batch_inputs(
-            chain, user_trajectories, n_chaffs, rngs
-        )
-        n_runs, horizon = users.shape
-        if n_runs == 1:
-            return self.generate(chain, users[0], n_chaffs, rngs[0])[None]
-        chaffs = np.empty((n_runs, n_chaffs, horizon), dtype=np.int64)
-        masks = np.empty((n_runs, horizon, chain.n_states), dtype=bool)
-        for index in range(n_chaffs):
-            for run in range(n_runs):
-                prior = np.concatenate([users[run, None], chaffs[run, :index]])
-                masks[run] = sample_exclusion_mask(prior, chain.n_states, rngs[run])
-            solved = solve_optimal_offline_batch(chain, users, allowed=masks)
-            batch = solved.trajectories
-            for run in np.flatnonzero(solved.infeasible):
-                batch[run] = ConstrainedMLController(chain).run(users[run])
-            chaffs[:, index] = batch
         return chaffs
 
 

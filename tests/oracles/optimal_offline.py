@@ -6,7 +6,9 @@ stood before the batched block sweep of
 of the intersection budget at a time, one slot at a time, stopping at the
 first layer whose cost beats the user's.  :func:`flag_chaffs` is the
 strategy-aware eavesdropper's pairwise test, one ``(source, target)``
-pair at a time.  Both are kept naive on purpose: the product kernels must
+pair at a time, with each map ``Gamma`` from one scalar
+:meth:`~repro.core.strategies.base.ChaffStrategy.generate` call
+(:func:`gamma_of`).  Both are kept naive on purpose: the product kernels must
 reproduce them exactly.
 """
 
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.strategies.base import ChaffStrategy
+from repro.core.strategies.maximum_likelihood import MaximumLikelihoodStrategy
 from repro.core.trellis import (
     InfeasibleTrellisError,
     most_likely_trajectory,
@@ -187,6 +190,21 @@ def solve_optimal_offline(
     )
 
 
+def gamma_of(
+    strategy: ChaffStrategy, chain: MarkovChain, trajectory: np.ndarray
+) -> np.ndarray:
+    """``Gamma(trajectory)`` of a deterministic strategy, one scalar call.
+
+    The strategy's single chaff for ``trajectory`` as a user, from
+    :meth:`ChaffStrategy.generate` with a fixed generator; for ML it is
+    the precomputed most likely path.  This bypasses the product's
+    batched :meth:`ChaffStrategy.deterministic_map`, which is under test.
+    """
+    if isinstance(strategy, MaximumLikelihoodStrategy):
+        return strategy.most_likely(chain, trajectory.size)
+    return strategy.generate(chain, trajectory, 1, np.random.default_rng(0))[0]
+
+
 def flag_chaffs(
     strategy: ChaffStrategy, chain: MarkovChain, observed: np.ndarray
 ) -> np.ndarray:
@@ -200,17 +218,15 @@ def flag_chaffs(
     flagged = np.zeros(n, dtype=bool)
     if not strategy.is_deterministic:
         return flagged
-    map_cache: dict[bytes, np.ndarray | None] = {}
-    maps: list[np.ndarray | None] = []
+    map_cache: dict[bytes, np.ndarray] = {}
+    maps: list[np.ndarray] = []
     for index in range(n):
         key = observed[index].tobytes()
         if key not in map_cache:
-            map_cache[key] = strategy.deterministic_map(chain, observed[index])
+            map_cache[key] = gamma_of(strategy, chain, observed[index])
         maps.append(map_cache[key])
     for source in range(n):
         gamma = maps[source]
-        if gamma is None:
-            continue
         for target in range(n):
             if target == source:
                 continue

@@ -20,9 +20,9 @@ These properties pin every row of a batch to :mod:`oracles.optimal_offline`
   are exercised on exact equalities.
 
 The strategy-aware detector's flags are pinned to the pairwise loop of
-:func:`oracles.optimal_offline.flag_chaffs`, duplicate rows included, and
-ROO's batched generation (one masked solve per chaff index, constrained-ML
-fallback on infeasible rows) to its per-run path.
+:func:`oracles.optimal_offline.flag_chaffs`, duplicate rows included.  The
+oracle maps each row with one scalar ``generate`` call, so the property
+also pins the batched ``ChaffStrategy.deterministic_map``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from repro.core.strategies.optimal_offline import (
 from repro.core.trellis import InfeasibleTrellisError, most_likely_trajectory
 from repro.mobility.markov import MarkovChain
 from repro.mobility.sparse import SparseMarkovChain
-from repro.sim.seeding import spawn_generators
 
 _SETTINGS = settings(
     max_examples=120,
@@ -201,20 +200,3 @@ def test_detector_flags_equal_the_pairwise_loop(case) -> None:
         assert flagged[run].tolist() == expected.tolist()
     # A second pass is served from the memo and must flag the same rows.
     assert detector._flag_chaffs(chain, observed).tolist() == flagged.tolist()
-
-
-@_SETTINGS
-@given(chains(), st.integers(1, 12), st.integers(2, 4), st.integers(1, 4), _SEEDS)
-def test_roo_batch_equals_the_per_run_path(chain, horizon, n_runs, n_chaffs, seed):
-    """Masked batched solves, fallbacks and rng draws match run by run."""
-    users = np.stack(
-        [chain.sample_trajectory(horizon, rng) for rng in spawn_generators(seed, n_runs)]
-    )
-    strategy = get_strategy("ROO")
-    rngs_batch = spawn_generators(seed, n_runs, key="roo")
-    rngs_loop = spawn_generators(seed, n_runs, key="roo")
-    batched = strategy.generate_batch(chain, users, n_chaffs, rngs_batch)
-    for run in range(n_runs):
-        looped = strategy.generate(chain, users[run], n_chaffs, rngs_loop[run])
-        assert batched[run].tolist() == looped.tolist()
-        assert rngs_batch[run].random() == rngs_loop[run].random()
